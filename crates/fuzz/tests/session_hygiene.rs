@@ -8,7 +8,7 @@
 use fpa_fuzz::corpus;
 use fpa_harness::Compiler;
 use fpa_isa::Program;
-use fpa_sim::{MachineConfig, SimSession};
+use fpa_sim::{CosimReport, ExecError, FuncSimResult, MachineConfig, SimSession, TimingResult};
 use std::path::PathBuf;
 
 const FUEL: u64 = 50_000_000;
@@ -73,16 +73,7 @@ fn interleaved_session_runs_match_fresh_state_runs() {
     // full passes: the second replays everything through the warmed
     // decoded-program cache.
     let mut session = SimSession::new();
-    let mut order = Vec::with_capacity(cells.len());
-    let (mut lo, mut hi) = (0, cells.len());
-    while lo < hi {
-        order.push(lo);
-        lo += 1;
-        if lo < hi {
-            hi -= 1;
-            order.push(hi);
-        }
-    }
+    let order = outside_in(cells.len());
     for pass in 0..2 {
         for &k in &order {
             let (i, cfg) = &cells[k];
@@ -103,4 +94,131 @@ fn interleaved_session_runs_match_fresh_state_runs() {
             "cell {k} diverged via thread-local session"
         );
     }
+}
+
+/// One run through a session: a program index and, for timing and
+/// co-simulated runs, whether the machine is the 8-way one.
+#[derive(Clone, Copy, Debug)]
+enum Run {
+    Timing(usize, bool),
+    Functional(usize),
+    Cosim(usize, bool),
+}
+
+/// What a run returned.
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    Timing(Result<TimingResult, ExecError>),
+    Functional(Result<FuncSimResult, ExecError>),
+    Cosim(Result<CosimReport, ExecError>),
+}
+
+/// The memory image a run left in its session, kept sparsely as
+/// `(image length, non-zero 4 KiB pages)`.
+type Image = (usize, Vec<(usize, Vec<u8>)>);
+
+fn image(memory: &[u8]) -> Image {
+    let pages = memory
+        .chunks(4096)
+        .enumerate()
+        .filter(|(_, page)| page.iter().any(|&b| b != 0))
+        .map(|(i, page)| (i, page.to_vec()))
+        .collect();
+    (memory.len(), pages)
+}
+
+fn config(augmented: bool, eight_way: bool) -> MachineConfig {
+    if eight_way {
+        MachineConfig::eight_way(augmented)
+    } else {
+        MachineConfig::four_way(augmented)
+    }
+}
+
+fn execute(session: &mut SimSession, programs: &[(Program, bool)], run: Run) -> (Outcome, Image) {
+    let outcome = match run {
+        Run::Timing(i, wide) => {
+            let (p, aug) = &programs[i];
+            Outcome::Timing(session.simulate(p, &config(*aug, wide), FUEL))
+        }
+        Run::Functional(i) => Outcome::Functional(session.run_functional(&programs[i].0, FUEL)),
+        Run::Cosim(i, wide) => {
+            let (p, aug) = &programs[i];
+            Outcome::Cosim(session.cosimulate(p, &config(*aug, wide), FUEL))
+        }
+    };
+    (outcome, image(session.memory()))
+}
+
+#[test]
+fn interleaved_functional_timing_and_cosim_runs_match_fresh_state_runs() {
+    let mut programs = corpus_programs();
+    // Every fourth program again with a smaller and a larger stack, so
+    // the persistent session's memory images shrink and grow between
+    // runs.
+    let resized: Vec<_> = programs
+        .iter()
+        .step_by(4)
+        .enumerate()
+        .map(|(k, (p, aug))| {
+            let mut p = p.clone();
+            p.stack_top = if k % 2 == 0 {
+                Program::DEFAULT_STACK_TOP / 2
+            } else {
+                Program::DEFAULT_STACK_TOP + 0x1_0000
+            };
+            (p, *aug)
+        })
+        .collect();
+    programs.extend(resized);
+
+    let runs: Vec<Run> = (0..programs.len())
+        .flat_map(|i| {
+            [
+                Run::Functional(i),
+                Run::Cosim(i, false),
+                Run::Timing(i, true),
+                Run::Cosim(i, true),
+                Run::Timing(i, false),
+            ]
+        })
+        .collect();
+    let baseline: Vec<_> = runs
+        .iter()
+        .map(|&run| execute(&mut SimSession::new(), &programs, run))
+        .collect();
+    for (run, (outcome, _)) in runs.iter().zip(&baseline) {
+        if let Outcome::Cosim(Ok(report)) = outcome {
+            assert!(report.clean(), "{run:?}: {:?}", report.violations);
+        }
+    }
+
+    // One persistent session, visiting runs outside-in, so consecutive
+    // runs differ in kind, program, width and (often) stack size.
+    let mut session = SimSession::new();
+    for pass in 0..2 {
+        for k in outside_in(runs.len()) {
+            let got = execute(&mut session, &programs, runs[k]);
+            assert!(
+                got == baseline[k],
+                "{:?} diverged from a fresh session on persistent-session pass {pass}",
+                runs[k]
+            );
+        }
+    }
+}
+
+/// `0..n` visited first, last, second, second-to-last, ...
+fn outside_in(n: usize) -> Vec<usize> {
+    let mut order = Vec::with_capacity(n);
+    let (mut lo, mut hi) = (0, n);
+    while lo < hi {
+        order.push(lo);
+        lo += 1;
+        if lo < hi {
+            hi -= 1;
+            order.push(hi);
+        }
+    }
+    order
 }

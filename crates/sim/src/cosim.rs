@@ -100,8 +100,15 @@ impl LockstepChecker {
     /// Creates a checker with its own functional machine for `program`.
     #[must_use]
     pub fn new(program: &Program) -> LockstepChecker {
+        LockstepChecker::reusing(program, Machine::default())
+    }
+
+    /// Creates a checker that resets and runs on `machine`, reusing its
+    /// memory image; [`Self::into_machine`] hands it back.
+    pub(crate) fn reusing(program: &Program, mut machine: Machine) -> LockstepChecker {
+        machine.reset(program);
         LockstepChecker {
-            machine: Machine::new(program),
+            machine,
             pc: program.entry,
             program: program.clone(),
             steps: 0,
@@ -111,6 +118,11 @@ impl LockstepChecker {
             violations: Vec::new(),
             total_violations: 0,
         }
+    }
+
+    /// Gives back the functional machine for the next run.
+    pub(crate) fn into_machine(self) -> Machine {
+        self.machine
     }
 
     /// Violations recorded so far (capped; see [`Self::total_violations`]).
@@ -876,8 +888,17 @@ impl CosimObserver {
     /// Creates the composite observer for one `(program, config)` run.
     #[must_use]
     pub fn new(program: &Program, config: &MachineConfig) -> CosimObserver {
+        CosimObserver::reusing(program, config, Machine::default())
+    }
+
+    /// Like [`Self::new`], with the lockstep checker running on `machine`.
+    pub(crate) fn reusing(
+        program: &Program,
+        config: &MachineConfig,
+        machine: Machine,
+    ) -> CosimObserver {
         CosimObserver {
-            lockstep: LockstepChecker::new(program),
+            lockstep: LockstepChecker::reusing(program, machine),
             invariants: InvariantChecker::new(config),
             events: EventCounters::default(),
         }

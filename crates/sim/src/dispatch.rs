@@ -320,13 +320,13 @@ fn h_lbu(m: &mut Machine, x: &XInst, pc: u32) -> Result<Step, ExecError> {
 
 fn h_sw(m: &mut Machine, x: &XInst, pc: u32) -> Result<Step, ExecError> {
     let v = m.geti(x.b) as u32;
-    m.write_u32(ea(m, x), v, pc)?;
+    m.store(ea(m, x), v.to_le_bytes(), pc)?;
     Ok(Step::Next)
 }
 
 fn h_sb(m: &mut Machine, x: &XInst, pc: u32) -> Result<Step, ExecError> {
-    let lo = m.check(ea(m, x), 1, pc)?;
-    m.mem[lo] = m.geti(x.b) as u8;
+    let v = m.geti(x.b) as u8;
+    m.store(ea(m, x), [v], pc)?;
     Ok(Step::Next)
 }
 
@@ -338,9 +338,8 @@ fn h_ld(m: &mut Machine, x: &XInst, pc: u32) -> Result<Step, ExecError> {
 }
 
 fn h_sd(m: &mut Machine, x: &XInst, pc: u32) -> Result<Step, ExecError> {
-    let lo = m.check(ea(m, x), 8, pc)?;
     let v = m.getraw(x.b);
-    m.mem[lo..lo + 8].copy_from_slice(&v.to_le_bytes());
+    m.store(ea(m, x), v.to_le_bytes(), pc)?;
     Ok(Step::Next)
 }
 

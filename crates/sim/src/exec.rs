@@ -59,16 +59,30 @@ pub enum Step {
     Halt(i32),
 }
 
+/// Granularity of the memory image's dirty tracking: 4 KiB pages.
+const PAGE_BYTES: usize = 1 << PAGE_SHIFT;
+const PAGE_SHIFT: u32 = 12;
+
 /// Architectural machine state: both register files plus byte-addressed
 /// memory.
-#[derive(Debug, Clone)]
+///
+/// The memory image outlives runs: every store marks the page(s) it
+/// writes in a dirty bitmap, and [`Machine::reset`] zeroes only those
+/// pages, so a reused machine costs a program's touched pages per run
+/// rather than a memset (and, for a fresh allocation, a page fault) of
+/// the whole `0..stack_top` image. Memory is readable outside this crate
+/// only through [`Machine::memory`], so no write can skip the marking.
+#[derive(Debug, Clone, Default)]
 pub struct Machine {
     /// Integer register file (`$0` reads as zero).
     pub int_regs: [i32; 32],
     /// Floating-point register file (raw 64-bit values).
     pub fp_regs: [u64; 32],
     /// Byte-addressable memory, `0..stack_top`.
-    pub mem: Vec<u8>,
+    pub(crate) mem: Vec<u8>,
+    /// One bit per [`PAGE_BYTES`] page of `mem`: set when the page may
+    /// hold a non-zero byte.
+    dirty: Vec<u64>,
     /// Observable output.
     pub output: String,
 }
@@ -78,30 +92,62 @@ impl Machine {
     /// pointer at the top of memory.
     #[must_use]
     pub fn new(program: &Program) -> Machine {
-        let mut m = Machine {
-            int_regs: [0; 32],
-            fp_regs: [0; 32],
-            mem: Vec::new(),
-            output: String::new(),
-        };
+        let mut m = Machine::default();
         m.reset(program);
         m
     }
 
     /// Re-initialises this machine for `program`, reusing the memory and
     /// output allocations from previous runs. Equivalent to
-    /// `*self = Machine::new(program)` without the allocation churn.
+    /// `*self = Machine::new(program)` without the allocation churn:
+    /// only the pages dirtied since the last reset are zeroed, and the
+    /// image is reallocated only when `stack_top` changes.
     pub fn reset(&mut self, program: &Program) {
         self.int_regs = [0; 32];
         self.fp_regs = [0; 32];
-        self.mem.clear();
-        self.mem.resize(program.stack_top as usize, 0);
+        let top = program.stack_top as usize;
+        if self.mem.len() == top {
+            for (word, bits) in self.dirty.iter_mut().enumerate() {
+                let mut bits = std::mem::take(bits);
+                while bits != 0 {
+                    let lo = (word * 64 + bits.trailing_zeros() as usize) << PAGE_SHIFT;
+                    let hi = (lo + PAGE_BYTES).min(top);
+                    self.mem[lo..hi].fill(0);
+                    bits &= bits - 1;
+                }
+            }
+        } else {
+            // A fresh zeroed allocation, which the allocator maps lazily:
+            // pages the program never touches cost no memset and no
+            // resident memory.
+            self.mem = vec![0; top];
+            self.dirty = vec![0; top.div_ceil(PAGE_BYTES).div_ceil(64)];
+        }
         for d in &program.data {
             let lo = d.addr as usize;
             self.mem[lo..lo + d.bytes.len()].copy_from_slice(&d.bytes);
+            if !d.bytes.is_empty() {
+                self.mark_dirty(lo, d.bytes.len());
+            }
         }
         self.output.clear();
         self.int_regs[IntReg::SP.index()] = program.stack_top as i32;
+    }
+
+    /// The byte-addressed memory image, `0..stack_top`.
+    #[must_use]
+    pub fn memory(&self) -> &[u8] {
+        &self.mem
+    }
+
+    /// Marks every page overlapping `mem[lo..lo + bytes]` dirty.
+    #[inline]
+    fn mark_dirty(&mut self, lo: usize, bytes: usize) {
+        let first = lo >> PAGE_SHIFT;
+        let last = (lo + bytes - 1) >> PAGE_SHIFT;
+        for page in first..=last {
+            self.dirty[page / 64] |= 1 << (page % 64);
+        }
     }
 
     /// Reads an integer register.
@@ -185,9 +231,18 @@ impl Machine {
         Ok(u32::from_le_bytes(self.mem[lo..lo + 4].try_into().unwrap()))
     }
 
-    pub(crate) fn write_u32(&mut self, addr: u32, v: u32, pc: u32) -> Result<(), ExecError> {
-        let lo = self.check(addr, 4, pc)?;
-        self.mem[lo..lo + 4].copy_from_slice(&v.to_le_bytes());
+    /// Stores `bytes` at `addr` and marks the written page(s) dirty: the
+    /// one write path to memory.
+    #[inline]
+    pub(crate) fn store<const N: usize>(
+        &mut self,
+        addr: u32,
+        bytes: [u8; N],
+        pc: u32,
+    ) -> Result<(), ExecError> {
+        let lo = self.check(addr, N as u32, pc)?;
+        self.mem[lo..lo + N].copy_from_slice(&bytes);
+        self.mark_dirty(lo, N);
         Ok(())
     }
 
@@ -341,12 +396,12 @@ impl Machine {
             Sw | Swf => {
                 let addr = self.effective_addr(inst).expect("store");
                 let v = self.geti(rt()) as u32;
-                self.write_u32(addr, v, pc)?;
+                self.store(addr, v.to_le_bytes(), pc)?;
             }
             Sb => {
                 let addr = self.effective_addr(inst).expect("store");
-                let lo = self.check(addr, 1, pc)?;
-                self.mem[lo] = self.geti(rt()) as u8;
+                let v = self.geti(rt()) as u8;
+                self.store(addr, [v], pc)?;
             }
             Ld => {
                 let addr = self.effective_addr(inst).expect("load");
@@ -356,9 +411,8 @@ impl Machine {
             }
             Sd => {
                 let addr = self.effective_addr(inst).expect("store");
-                let lo = self.check(addr, 8, pc)?;
                 let v = self.getraw(rt());
-                self.mem[lo..lo + 8].copy_from_slice(&v.to_le_bytes());
+                self.store(addr, v.to_le_bytes(), pc)?;
             }
             Beqz | BeqzA => {
                 if self.geti(rs()) == 0 {
@@ -631,6 +685,75 @@ mod tests {
         assert_eq!(m.geti(f(5)), 7);
         m.exec(&Inst::alu(Op::CltD, f(6), f(3), f(4)), 0).unwrap();
         assert_eq!(m.geti(f(6)), 1);
+    }
+
+    /// A program with `stack_top` and one data item at `addr`.
+    fn program_with_data(stack_top: u32, addr: u32, bytes: Vec<u8>) -> Program {
+        let mut p = Program::new();
+        p.stack_top = stack_top;
+        p.data.push(fpa_isa::DataItem {
+            addr,
+            bytes,
+            name: "d".into(),
+        });
+        p
+    }
+
+    /// Stores `v` at `addr` through the `$8` base register.
+    fn store_at(m: &mut Machine, op: Op, addr: u32, v: i32) {
+        m.exec(&Inst::li(Op::Li, r(8), addr as i32), 0).unwrap();
+        m.exec(&Inst::li(Op::Li, r(9), v), 0).unwrap();
+        m.fp_regs[2] = i64::from(v) as u64;
+        let value = if op == Op::Sd { f(2) } else { r(9) };
+        m.exec(&Inst::store(op, value, IntReg::new(8), 0), 0)
+            .unwrap();
+    }
+
+    #[test]
+    fn reset_clears_stores_straddling_a_page_boundary() {
+        let p = program_with_data(0x1_0000, 0x1000, vec![7; 16]);
+        let mut m = Machine::new(&p);
+        let page = PAGE_BYTES as u32;
+        store_at(&mut m, Op::Sd, 3 * page - 4, -1);
+        store_at(&mut m, Op::Sw, 5 * page - 2, -1);
+        for addr in [3 * page - 1, 3 * page, 5 * page - 1, 5 * page] {
+            assert_ne!(m.memory()[addr as usize], 0, "store reached {addr:#x}");
+        }
+        m.reset(&p);
+        assert_eq!(m.memory(), Machine::new(&p).memory());
+    }
+
+    #[test]
+    fn reset_clears_stores_at_the_top_of_the_stack() {
+        let p = program_with_data(0x1_0000, 0x1000, vec![7; 16]);
+        let mut m = Machine::new(&p);
+        let top = p.stack_top;
+        store_at(&mut m, Op::Sd, top - 8, -1);
+        store_at(&mut m, Op::Sw, top - 4, 5);
+        store_at(&mut m, Op::Sb, top - 1, 9);
+        assert_eq!(m.memory()[top as usize - 8], 0xFF);
+        m.reset(&p);
+        assert_eq!(m.memory(), Machine::new(&p).memory());
+    }
+
+    #[test]
+    fn reset_to_another_program_clears_the_old_data_segment() {
+        // Ends mid-page: 0x1000 + 0x1800 = 0x2800.
+        let a = program_with_data(0x1_0000, 0x1000, vec![0xAB; 0x1800]);
+        let b = program_with_data(0x1_0000, 0x1100, vec![0xCD; 0x10]);
+        let mut m = Machine::new(&a);
+        store_at(&mut m, Op::Sw, 0x2800, -1);
+        m.reset(&b);
+        assert_eq!(m.memory(), Machine::new(&b).memory());
+        // A different `stack_top` resizes the image, shrinking and growing.
+        let small = program_with_data(0x8000, 0x1000, vec![0xEF; 0x2000]);
+        m.reset(&small);
+        assert_eq!(m.memory(), Machine::new(&small).memory());
+        store_at(&mut m, Op::Sd, 0x7FF8, -1);
+        m.reset(&a);
+        assert_eq!(m.memory(), Machine::new(&a).memory());
+        m.reset(&b);
+        assert_eq!(m.memory(), Machine::new(&b).memory());
     }
 
     #[test]

@@ -18,8 +18,6 @@ pub struct FuncSimResult {
     pub exit_code: i32,
     /// Everything printed.
     pub output: String,
-    /// Final memory image (for differential tests).
-    pub memory: Vec<u8>,
     /// Total retired instructions.
     pub total: u64,
     /// Instructions that executed in the FP subsystem (augmented integer

@@ -462,6 +462,9 @@ impl FaultInjection {
 #[derive(Debug)]
 pub(crate) struct SessionBufs {
     pub(crate) machine: Machine,
+    /// The machine lent to the lockstep checker by
+    /// [`crate::SimSession::cosimulate`].
+    pub(crate) checker: Machine,
     icache: Option<Cache>,
     dcache: Option<Cache>,
     gshare: Option<Gshare>,
@@ -475,12 +478,8 @@ pub(crate) struct SessionBufs {
 impl SessionBufs {
     pub(crate) fn new() -> SessionBufs {
         SessionBufs {
-            machine: Machine {
-                int_regs: [0; 32],
-                fp_regs: [0; 32],
-                mem: Vec::new(),
-                output: String::new(),
-            },
+            machine: Machine::default(),
+            checker: Machine::default(),
             icache: None,
             dcache: None,
             gshare: None,

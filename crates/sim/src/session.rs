@@ -1,8 +1,8 @@
 //! Batched simulation sessions.
 //!
 //! A [`SimSession`] owns every piece of reusable simulator state — the
-//! architectural machine (register files, memory image, output buffer),
-//! cache tag arrays, branch-predictor counters, the in-flight entry slab
+//! architectural machine (register files, memory image, output buffer)
+//! plus a second one lent to the lockstep checker, cache tag arrays, branch-predictor counters, the in-flight entry slab
 //! with its waiter vectors, the completion heap, the store index, and a
 //! content-addressed cache of prepared programs (see
 //! [`crate::dispatch`]). Running many cells through one session costs
@@ -194,7 +194,6 @@ impl SimSession {
         Ok(FuncSimResult {
             exit_code,
             output: std::mem::take(&mut self.bufs.machine.output),
-            memory: std::mem::take(&mut self.bufs.machine.mem),
             total,
             fp_subsystem,
             augmented,
@@ -206,7 +205,9 @@ impl SimSession {
     }
 
     /// Session-backed [`crate::cosimulate`]: full lockstep co-simulation
-    /// and invariant checking through the shared arena.
+    /// and invariant checking through the shared arena. The lockstep
+    /// checker borrows the session's second machine, so its memory image
+    /// is reused across runs like the timing oracle's.
     ///
     /// # Errors
     ///
@@ -217,15 +218,29 @@ impl SimSession {
         config: &MachineConfig,
         max_cycles: u64,
     ) -> Result<CosimReport, ExecError> {
-        let mut obs = CosimObserver::new(program, config);
-        let result = self.simulate_observed(program, config, max_cycles, &mut obs)?;
-        let violations = obs.finish(&result);
-        Ok(CosimReport {
-            result,
-            violations,
-            total_violations: obs.total_violations(),
-            events: obs.events,
-        })
+        let checker = std::mem::take(&mut self.bufs.checker);
+        let mut obs = CosimObserver::reusing(program, config, checker);
+        let report = self
+            .simulate_observed(program, config, max_cycles, &mut obs)
+            .map(|result| {
+                let violations = obs.finish(&result);
+                CosimReport {
+                    result,
+                    violations,
+                    total_violations: obs.total_violations(),
+                    events: obs.events,
+                }
+            });
+        self.bufs.checker = obs.lockstep.into_machine();
+        report
+    }
+
+    /// The memory image the last run through this session left behind
+    /// (the functional machine's, or the timing oracle's); empty before
+    /// the first run.
+    #[must_use]
+    pub fn memory(&self) -> &[u8] {
+        self.bufs.machine.memory()
     }
 }
 
@@ -288,29 +303,74 @@ mod tests {
         p
     }
 
+    /// Stores `v` at `addr` (a word that straddles a page boundary when
+    /// `addr % 4096 > 4092`), then halts.
+    fn storing_program(stack_top: u32, addr: i32, v: i32) -> Program {
+        let r8: Reg = IntReg::new(8).into();
+        let mut p = Program::new();
+        p.stack_top = stack_top;
+        p.code = vec![
+            Inst::li(Op::Li, r8, v),
+            Inst::store(Op::Sw, r8, IntReg::ZERO, addr),
+            Inst::store(Op::Sw, r8, IntReg::SP, -4),
+            Inst {
+                op: Op::Halt,
+                rd: None,
+                rs: None,
+                rt: None,
+                imm: 0,
+                target: 0,
+            },
+        ];
+        p
+    }
+
     #[test]
     fn session_reuse_is_invisible_in_results() {
         let cfg = MachineConfig::four_way(true);
         let p1 = counting_program(500);
         let p2 = counting_program(3);
+        let p3 = storing_program(0x1_0000, 0x2FFE, -1);
+        let p4 = storing_program(0x2_0000, 0x5000, 9);
         let mut shared = SimSession::new();
-        // Interleave two programs through one session; every result must
-        // equal a fresh session's.
+        // Interleave four programs (two stack tops) through one session;
+        // every result must equal a fresh session's.
         for _ in 0..3 {
-            for p in [&p1, &p2] {
+            for p in [&p1, &p3, &p2, &p4] {
                 let shared_t = shared.simulate(p, &cfg, 1 << 20).unwrap();
                 let fresh_t = SimSession::new().simulate(p, &cfg, 1 << 20).unwrap();
                 assert_eq!(shared_t, fresh_t);
                 let shared_f = shared.run_functional(p, 1 << 20).unwrap();
-                let fresh_f = SimSession::new().run_functional(p, 1 << 20).unwrap();
-                assert_eq!(shared_f.total, fresh_f.total);
-                assert_eq!(shared_f.exit_code, fresh_f.exit_code);
-                assert_eq!(shared_f.memory, fresh_f.memory);
-                assert_eq!(shared_f.block_counts, fresh_f.block_counts);
+                let mut fresh = SimSession::new();
+                let fresh_f = fresh.run_functional(p, 1 << 20).unwrap();
+                assert_eq!(shared_f, fresh_f);
+                assert_eq!(shared.memory(), fresh.memory());
             }
         }
-        // Two distinct programs decoded, each exactly once.
-        assert_eq!(shared.programs.len(), 2);
+        // Four distinct programs decoded, each exactly once.
+        assert_eq!(shared.programs.len(), 4);
+    }
+
+    #[test]
+    fn steady_state_runs_reuse_the_memory_images() {
+        let cfg = MachineConfig::four_way(true);
+        let programs = [
+            storing_program(Program::DEFAULT_STACK_TOP, 0x2FFE, -1),
+            storing_program(Program::DEFAULT_STACK_TOP, 0x4000, 3),
+        ];
+        let mut s = SimSession::new();
+        s.run_functional(&programs[0], 1 << 20).unwrap();
+        s.cosimulate(&programs[0], &cfg, 1 << 20).unwrap();
+        let images = |s: &SimSession| {
+            [&s.bufs.machine, &s.bufs.checker].map(|m| (m.mem.as_ptr(), m.mem.capacity()))
+        };
+        let warm = images(&s);
+        for i in 0..50 {
+            let p = &programs[i % 2];
+            s.run_functional(p, 1 << 20).unwrap();
+            assert!(s.cosimulate(p, &cfg, 1 << 20).unwrap().clean());
+            assert_eq!(images(&s), warm, "run {i} reallocated a memory image");
+        }
     }
 
     #[test]
