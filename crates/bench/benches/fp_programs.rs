@@ -6,7 +6,7 @@ use fpa_sim::{simulate, MachineConfig};
 use fpa_testutil::bench;
 
 fn main() {
-    let (sizes, speed) = fp_programs().expect("fp programs");
+    let (sizes, speed) = fp_programs(1).expect("fp programs");
     println!("\n{}", report::fig8(&sizes));
     println!(
         "{}",

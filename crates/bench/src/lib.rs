@@ -1,13 +1,6 @@
-//! Shared helpers for the per-figure benchmark harnesses.
+//! Shared helpers for the benchmark harnesses.
 
-use fpa_harness::experiments::build_all;
 use fpa_harness::pipeline::CompiledWorkload;
-
-/// Builds the full integer suite once (cached per bench binary).
-#[must_use]
-pub fn compiled_integer_suite() -> Vec<CompiledWorkload> {
-    build_all(&fpa_workloads::integer()).expect("pipeline")
-}
 
 /// Builds one workload by name.
 #[must_use]

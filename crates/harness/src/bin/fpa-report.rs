@@ -160,11 +160,10 @@ fn main() {
         }
         if matches!(what.as_str(), "optgap" | "all") {
             eprintln!("timing the exact min-cut binaries for the optimality-gap table...");
-            let rows =
-                fpa_harness::experiments::optimality_gap(ctx.compiled()).unwrap_or_else(|e| {
-                    eprintln!("simulation failed: {e}");
-                    std::process::exit(1);
-                });
+            let rows = ctx.optimality_gap(&m).unwrap_or_else(|e| {
+                eprintln!("simulation failed: {e}");
+                std::process::exit(1);
+            });
             println!("{}", report::optimality_gap(&rows));
         }
         if let Some(path) = &json_path {
@@ -173,13 +172,19 @@ fn main() {
     }
     if matches!(what.as_str(), "ablation") {
         eprintln!("sweeping cost-model constants on gcc and m88ksim...");
-        let rows =
-            fpa_harness::experiments::ablate_cost_params(&["gcc", "m88ksim"]).expect("ablation");
+        let rows = fpa_harness::experiments::ablate_cost_params(&["gcc", "m88ksim"])
+            .unwrap_or_else(|e| {
+                eprintln!("ablation failed: {e}");
+                std::process::exit(1);
+            });
         println!("{}", fpa_harness::report::ablation(&rows));
     }
     if matches!(what.as_str(), "fp" | "all") {
         eprintln!("building floating-point programs (section 7.5)...");
-        let (sizes, speed) = fp_programs().expect("fp programs");
+        let (sizes, speed) = fp_programs(jobs).unwrap_or_else(|e| {
+            eprintln!("fp programs failed: {e}");
+            std::process::exit(1);
+        });
         println!("{}", report::fig8(&sizes));
         println!(
             "{}",

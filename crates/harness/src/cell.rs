@@ -55,21 +55,6 @@ impl WidthPreset {
             WidthPreset::EightWay => MachineConfig::eight_way(augmented),
         }
     }
-
-    /// Recognizes a preset-built [`MachineConfig`], returning the preset
-    /// and the augmented flag it was built with. `None` for custom
-    /// configurations.
-    #[must_use]
-    pub fn matching(cfg: &MachineConfig) -> Option<(WidthPreset, bool)> {
-        for preset in WidthPreset::ALL {
-            for augmented in [false, true] {
-                if *cfg == preset.config(augmented) {
-                    return Some((preset, augmented));
-                }
-            }
-        }
-        None
-    }
 }
 
 impl fmt::Display for WidthPreset {
@@ -398,19 +383,6 @@ mod tests {
         assert_eq!(id.to_string(), "compress/advanced/4-way");
         let back = CellId::from_json(&id.to_json()).unwrap();
         assert_eq!(back, id);
-    }
-
-    #[test]
-    fn width_matching_recognizes_both_presets() {
-        for preset in WidthPreset::ALL {
-            for augmented in [false, true] {
-                let cfg = preset.config(augmented);
-                assert_eq!(WidthPreset::matching(&cfg), Some((preset, augmented)));
-            }
-        }
-        let mut odd = MachineConfig::four_way(true);
-        odd.max_inflight += 1;
-        assert_eq!(WidthPreset::matching(&odd), None);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! experiment matrix across a `std::thread::scope` worker pool. The cycle
 //! simulator itself stays single-threaded per run; parallelism is across
 //! independent runs only, so results are bit-identical for any `--jobs`
-//! value (see `tests/engine_matrix.rs`).
+//! value (see `crates/harness/tests/build_once.rs`).
 //!
 //! [`MatrixReport`] is the machine-readable result: every figure's rows
 //! plus per-workload telemetry (per-stage compile timings and simulator
@@ -19,8 +19,8 @@ use crate::artifact::StoreOutcome;
 use crate::cell::{run_cells, CellError, CellId, CellMode, CellSpec, WidthPreset};
 use crate::compiler::{frontend_runs, Scheme, StageTimings};
 use crate::experiments::{
-    fig8_row_from, overhead_row_from, speedup_row_from, Fig8Row, OverheadRow, SpeedupRow,
-    FUNC_FUEL, TIMING_FUEL,
+    fig8_row_from, optimality_gap_row_from, overhead_row_from, speedup_row_from, Fig8Row,
+    OptimalityGapRow, OverheadRow, SpeedupRow, FUNC_FUEL, TIMING_FUEL,
 };
 use crate::json::Json;
 use crate::pipeline::{build_traced, BuildError, CompiledWorkload};
@@ -322,6 +322,54 @@ impl ExperimentContext {
             overheads,
             telemetry,
         })
+    }
+
+    /// The optimality-gap table: every workload's basic, advanced and
+    /// exact min-cut binaries on the 4-way machine. The basic and
+    /// advanced cycles are read from `m`, the matrix this context
+    /// already ran (its advanced run is observed, which is
+    /// timing-neutral), so only the optimal cell of each workload is
+    /// simulated, on the context's pool.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first simulation failure (by workload order).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` is not a matrix of this context's workloads.
+    pub fn optimality_gap(
+        &self,
+        m: &MatrixReport,
+    ) -> Result<Vec<OptimalityGapRow>, fpa_sim::ExecError> {
+        let specs: Vec<CellSpec> = self
+            .compiled
+            .iter()
+            .map(|c| {
+                CellSpec::new(
+                    CellId::new(c.name.clone(), Scheme::Optimal, WidthPreset::FourWay),
+                    CellMode::Timing,
+                    TIMING_FUEL,
+                )
+            })
+            .collect();
+        let results =
+            run_cells(self.compiled.as_slice(), &specs, self.jobs).map_err(CellError::into_exec)?;
+        assert_eq!(
+            m.telemetry.len(),
+            results.len(),
+            "matrix of another context"
+        );
+        Ok(m.telemetry
+            .iter()
+            .zip(&results)
+            .map(|(t, r)| {
+                assert_eq!(t.name, r.id.workload, "matrix of another context");
+                let (_, basic, advanced) = t.cycles_4way;
+                let opt = r.payload.timing().expect("timing cell");
+                optimality_gap_row_from(&t.name, basic, advanced, opt)
+            })
+            .collect())
     }
 }
 

@@ -41,8 +41,7 @@ pub use compiler::{
 };
 pub use engine::{ExperimentContext, MatrixReport, RunTelemetry};
 pub use experiments::{
-    ablate_cost_params, fig10_speedup_8way, fig8_partition_size, fig9_speedup_4way, fp_programs,
-    overheads, AblationRow, Fig8Row, OverheadRow, SpeedupRow,
+    ablate_cost_params, fp_programs, AblationRow, Fig8Row, OverheadRow, SpeedupRow,
 };
 pub use lint::{lint_matrix, lint_workload, LintRow};
 pub use pipeline::{build, BuildError, CompiledWorkload};

@@ -431,27 +431,6 @@ impl CompletionRing {
     }
 }
 
-/// Deliberate microarchitectural defects, injectable only through
-/// [`simulate_with_faults`]. They exist so the co-simulation layer's
-/// mutation tests can prove the checkers detect real scoreboard and
-/// sequencing bugs; production entry points never enable a fault.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FaultInjection {
-    /// Once, retire the second ROB entry while the head is still
-    /// executing — breaks in-order retirement.
-    pub retire_out_of_order: bool,
-    /// Ignore source-operand readiness at issue — a scoreboard/bypass
-    /// bug that lets consumers issue before their producers complete.
-    pub issue_ignores_readiness: bool,
-}
-
-impl FaultInjection {
-    fn any(self) -> bool {
-        self.retire_out_of_order || self.issue_ignores_readiness
-    }
-}
-
 /// Arena-reused simulator state, owned by a [`crate::session::SimSession`]
 /// and threaded through every run: the architectural machine (register
 /// files + memory image), both cache tag arrays, the branch predictor,
@@ -531,25 +510,6 @@ pub fn simulate_observed<O: SimObserver>(
     crate::session::with_session(|s| s.simulate_observed(program, config, max_cycles, obs))
 }
 
-/// Test-only entry point: [`simulate_observed`] with injected defects.
-///
-/// # Errors
-///
-/// Same as [`simulate`]; an injected defect can additionally wedge the
-/// pipeline into [`ExecError::OutOfFuel`].
-#[doc(hidden)]
-pub fn simulate_with_faults<O: SimObserver>(
-    program: &Program,
-    config: &MachineConfig,
-    max_cycles: u64,
-    obs: &mut O,
-    faults: FaultInjection,
-) -> Result<TimingResult, ExecError> {
-    crate::session::with_session(|s| {
-        s.simulate_with_faults(program, config, max_cycles, obs, faults)
-    })
-}
-
 /// Bitmask over ROB-relative positions, abstracting the mask width so the
 /// engine can run on `u64` masks (single-uop shifts) whenever the window
 /// fits. Both Table 1 machines (32- and 64-entry windows) do; only a
@@ -603,21 +563,14 @@ pub(crate) fn simulate_core<O: SimObserver>(
     config: &MachineConfig,
     max_cycles: u64,
     obs: &mut O,
-    faults: FaultInjection,
     bufs: &mut SessionBufs,
 ) -> Result<TimingResult, ExecError> {
-    if faults.any() {
-        // Injected defects are expressed against the reference engine's
-        // explicit full-window scan (and break the fast path's dense-seq
-        // and wakeup bookkeeping by design).
-        return crate::reference::simulate_naive(program, config, max_cycles, obs, faults);
-    }
     if config.max_inflight > 128 {
         // The ready and store-barrier sets are bitmasks over the ROB
         // window. Neither of the paper's machines (32- and 64-entry ROBs)
         // comes close; a hypothetical wider configuration runs on the
         // reference engine, which has no window bound.
-        return crate::reference::simulate_naive(program, config, max_cycles, obs, faults);
+        return crate::reference::simulate_naive(program, config, max_cycles, obs);
     }
     if config.max_inflight <= 64 {
         simulate_masked::<O, u64>(program, pre, config, max_cycles, obs, bufs)

@@ -11,9 +11,9 @@
 //!   plus the unit tests in `crate::ooo`).
 //! * **Fault injection** — the co-simulation layer's mutation tests
 //!   inject scoreboard/sequencing defects to prove the checkers catch
-//!   them; those defects are expressed against this loop's explicit
-//!   full-window scan, so [`crate::ooo::simulate_with_faults`] routes
-//!   here whenever a fault is armed.
+//!   them. The defects are expressed against this loop's explicit
+//!   full-window scan, and [`simulate_with_faults`] is their only entry
+//!   point; the production engine has no fault hooks.
 //! * **Benchmark baseline** — `fpa-bench` measures the fast path's
 //!   speedup against [`simulate_reference`].
 //!
@@ -28,7 +28,7 @@ use crate::observe::{
     DispatchEvent, FetchEvent, InstEffect, IssueEvent, NullObserver, RetireEvent, SimObserver,
     StoreEffect, WritebackEvent,
 };
-use crate::ooo::{FaultInjection, TimingResult};
+use crate::ooo::TimingResult;
 use crate::predictor::Gshare;
 use fpa_isa::{Op, Program, Reg, Subsystem};
 use std::collections::{HashMap, VecDeque};
@@ -66,17 +66,46 @@ pub fn simulate_reference(
     config: &MachineConfig,
     max_cycles: u64,
 ) -> Result<TimingResult, ExecError> {
-    simulate_naive(
-        program,
-        config,
-        max_cycles,
-        &mut NullObserver,
-        FaultInjection::default(),
-    )
+    simulate_naive(program, config, max_cycles, &mut NullObserver)
 }
 
-#[allow(clippy::too_many_lines)]
+/// The reference engine with every event emitted to `obs`: the fallback
+/// [`crate::ooo`] takes for windows its bitmasks cannot cover.
 pub(crate) fn simulate_naive<O: SimObserver>(
+    program: &Program,
+    config: &MachineConfig,
+    max_cycles: u64,
+    obs: &mut O,
+) -> Result<TimingResult, ExecError> {
+    simulate_with_faults(program, config, max_cycles, obs, FaultInjection::default())
+}
+
+/// Deliberate microarchitectural defects, injectable only through
+/// [`simulate_with_faults`], i.e. only into this reference engine. They
+/// exist so the co-simulation layer's mutation tests can prove the
+/// checkers detect real scoreboard and sequencing bugs; no production
+/// entry point can enable a fault.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FaultInjection {
+    /// Once, retire the second ROB entry while the head is still
+    /// executing — breaks in-order retirement.
+    pub retire_out_of_order: bool,
+    /// Ignore source-operand readiness at issue — a scoreboard/bypass
+    /// bug that lets consumers issue before their producers complete.
+    pub issue_ignores_readiness: bool,
+}
+
+/// Test-only entry point: the reference engine with injected defects,
+/// emitting every pipeline event to `obs`.
+///
+/// # Errors
+///
+/// Same as [`simulate_reference`]; an injected defect can additionally
+/// wedge the pipeline into [`ExecError::OutOfFuel`].
+#[doc(hidden)]
+#[allow(clippy::too_many_lines)]
+pub fn simulate_with_faults<O: SimObserver>(
     program: &Program,
     config: &MachineConfig,
     max_cycles: u64,

@@ -26,7 +26,7 @@ use crate::dispatch::{self, PreProgram};
 use crate::exec::ExecError;
 use crate::func_sim::FuncSimResult;
 use crate::observe::{NullObserver, SimObserver};
-use crate::ooo::{self, FaultInjection, SessionBufs, TimingResult};
+use crate::ooo::{self, SessionBufs, TimingResult};
 use fpa_isa::Program;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -102,37 +102,7 @@ impl SimSession {
         obs: &mut O,
     ) -> Result<TimingResult, ExecError> {
         let pre = self.prepared(program);
-        ooo::simulate_core(
-            program,
-            &pre,
-            config,
-            max_cycles,
-            obs,
-            FaultInjection::default(),
-            &mut self.bufs,
-        )
-    }
-
-    /// Session-backed [`crate::ooo::simulate_with_faults`].
-    #[doc(hidden)]
-    pub fn simulate_with_faults<O: SimObserver>(
-        &mut self,
-        program: &Program,
-        config: &MachineConfig,
-        max_cycles: u64,
-        obs: &mut O,
-        faults: FaultInjection,
-    ) -> Result<TimingResult, ExecError> {
-        let pre = self.prepared(program);
-        ooo::simulate_core(
-            program,
-            &pre,
-            config,
-            max_cycles,
-            obs,
-            faults,
-            &mut self.bufs,
-        )
+        ooo::simulate_core(program, &pre, config, max_cycles, obs, &mut self.bufs)
     }
 
     /// Session-backed [`crate::run_functional`]: the direct-threaded

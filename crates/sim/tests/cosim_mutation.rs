@@ -1,11 +1,13 @@
-//! Mutation tests: inject deliberate microarchitectural defects behind
-//! the test-only [`fpa_sim::ooo::FaultInjection`] hook and prove the
-//! co-simulation layer detects them with cycle-stamped,
+//! Mutation tests: inject deliberate microarchitectural defects into the
+//! reference timing engine (`fpa_sim::reference`, the frozen full-scan
+//! loop the production fast path is checked against) through the
+//! test-only [`fpa_sim::reference::simulate_with_faults`] hook, and
+//! prove the co-simulation layer detects them with cycle-stamped,
 //! instruction-identified diagnostics. A checker that never fires is
 //! indistinguishable from no checker at all.
 
 use fpa_isa::{Inst, IntReg, Op, Program, Reg};
-use fpa_sim::ooo::{simulate_with_faults, FaultInjection};
+use fpa_sim::reference::{simulate_with_faults, FaultInjection};
 use fpa_sim::{CosimObserver, MachineConfig};
 
 fn r(i: u8) -> Reg {
